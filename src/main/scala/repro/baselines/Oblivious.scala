@@ -2,7 +2,6 @@ package repro.baselines
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import repro.graph.Hashing
 
 /** PowerGraph's *Oblivious* greedy edge placement (Gonzalez et al. OSDI'12).
   *

@@ -22,9 +22,9 @@ object VertexCutConversion {
 
   def fromVertexPartition(vp: LabelPropagation.VertexPartition,
                           edges: Array[(Long, Long)], seed: Long = 7L): Array[Int] =
-    toEdgePartition(edges, x => vp.labels(vp.st.vertexIndex.get(x)), seed)
+    toEdgePartition(edges, x => vp.labels(vp.csr.vertexIndex.get(x)), seed)
 
   def fromMultilevel(vp: MultilevelVertex.VertexPartition,
                      edges: Array[(Long, Long)], seed: Long = 7L): Array[Int] =
-    toEdgePartition(edges, x => vp.labels(vp.st.vertexIndex.get(x)), seed)
+    toEdgePartition(edges, x => vp.labels(vp.csr.vertexIndex.get(x)), seed)
 }

@@ -7,7 +7,7 @@ import org.apache.spark.sql.SparkSession
   */
 object JobSession {
   def create(appName: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
       .config("spark.sql.shuffle.partitions",

@@ -1,16 +1,13 @@
 package repro.core
 
+import repro.graph.Csr
+
 import scala.collection.mutable.ArrayBuffer
 
 /** State of one *allocation process* (§3.3/§4 of the paper): the slice of
   * the input graph that 2D-hash placement assigned to this grid cell,
-  * stored in CSR, plus the mutable allocation state.
-  *
-  * Immutable across iterations (shared between copies):
-  *  - `srcs`/`dsts`        — the local edge list (canonical undirected)
-  *  - `vertexIds`/`vertexIndex` — global↔local vertex id mapping
-  *  - `adjOff`/`adjEdge`   — CSR adjacency (each edge appears under both
-  *                            endpoints)
+  * stored as a [[Csr]] (immutable, shared between copies), plus the mutable
+  * allocation state.
   *
   * Mutable per copy (the per-iteration dataflow copies before writing, so a
   * lineage recomputation replays deterministically — see DistributedNE):
@@ -23,27 +20,20 @@ import scala.collection.mutable.ArrayBuffer
   */
 final class SubGraphState(
     val cellId: Int,
-    val srcs: Array[Long],
-    val dsts: Array[Long],
-    val vertexIds: Array[Long],
-    val vertexIndex: java.util.HashMap[Long, Int],
-    val adjOff: Array[Int],
-    val adjEdge: Array[Int],
+    val csr: Csr,
     val alloc: Array[Int],
     val memberships: Array[Array[Int]],
     val unallocCount: Array[Int]
 ) extends Serializable {
 
-  def numEdges: Int = srcs.length
-  def numLocalVertices: Int = vertexIds.length
+  import csr.{adjEdge, adjOff, ldst, lsrc, vertexIds, vertexIndex}
 
   /** Copy-on-write clone: clones the mutable arrays, shares the topology.
     * Membership rows are themselves copy-on-write (see `addMembership`), so
     * a shallow clone of the outer array suffices.
     */
   def copy(): SubGraphState =
-    new SubGraphState(cellId, srcs, dsts, vertexIds, vertexIndex, adjOff,
-      adjEdge, alloc.clone(), memberships.clone(), unallocCount.clone())
+    new SubGraphState(cellId, csr, alloc.clone(), memberships.clone(), unallocCount.clone())
 
   /** Adds partition `p` to the local replica of vertex `lv`.
     * @return true iff the membership was new locally.
@@ -64,14 +54,13 @@ final class SubGraphState(
 
   private def allocateEdge(e: Int, p: Int, msgs: ArrayBuffer[(Long, Int)]): Unit = {
     alloc(e) = p
-    var side = 0
-    while (side < 2) {
-      val x = if (side == 0) srcs(e) else dsts(e)
-      val lx = vertexIndex.get(x)
-      unallocCount(lx) -= 1
-      if (addMembership(lx, p)) msgs += ((x, p))
-      side += 1
-    }
+    claim(lsrc(e), p, msgs)
+    claim(ldst(e), p, msgs)
+  }
+
+  private def claim(lx: Int, p: Int, msgs: ArrayBuffer[(Long, Int)]): Unit = {
+    unallocCount(lx) -= 1
+    if (addMembership(lx, p)) msgs += ((vertexIds(lx), p))
   }
 
   /** Phase 1 — AllocateOneHopNeighbors (Alg. 3): allocate every local
@@ -115,8 +104,7 @@ final class SubGraphState(
         while (k < end) {
           val e = adjEdge(k)
           if (alloc(e) < 0) {
-            val w = if (srcs(e) == v) dsts(e) else srcs(e)
-            val other = sel.get(java.lang.Long.valueOf(w))
+            val other = sel.get(java.lang.Long.valueOf(vertexIds(csr.other(e, lv))))
             val winner =
               if (other == null || other.intValue() == p) { if (feasible(p)) p else -1 }
               else {
@@ -184,9 +172,7 @@ final class SubGraphState(
       while (k < end) {
         val e = adjEdge(k)
         if (alloc(e) < 0) {
-          val u = vertexIds(lu)
-          val w = if (srcs(e) == u) dsts(e) else srcs(e)
-          val lw = vertexIndex.get(w)
+          val lw = csr.other(e, lu)
           val pNew = leastLoadedShared(memberships(lu), memberships(lw), sizes, delta, quota)
           if (pNew >= 0) {
             val before = ignored.length
@@ -246,7 +232,7 @@ final class SubGraphState(
     * Feeds the driver's random-vertex pool (Alg. 1 line 7).
     */
   def sampleUnallocated(k: Int, seed: Long): Array[Long] = {
-    val n = numLocalVertices
+    val n = csr.numVertices
     if (n == 0) return Array.empty
     val start = (java.lang.Long.remainderUnsigned(repro.graph.Hashing.mix64(seed ^ cellId), n.toLong)).toInt
     val out = new ArrayBuffer[Long](k)
@@ -261,49 +247,19 @@ final class SubGraphState(
 
   /** Final assignment triples; only valid once every edge is allocated. */
   def assignments: Iterator[(Long, Long, Int)] =
-    (0 until numEdges).iterator.map { e =>
+    (0 until csr.numEdges).iterator.map { e =>
       require(alloc(e) >= 0, s"edge $e in cell $cellId left unallocated")
-      (srcs(e), dsts(e), alloc(e))
+      (vertexIds(lsrc(e)), vertexIds(ldst(e)), alloc(e))
     }
 }
 
 object SubGraphState {
 
-  /** Builds the CSR state for one grid cell from its local edge list. */
+  /** Builds the state for one grid cell from its local edge list. */
   def build(cellId: Int, edges: Array[(Long, Long)]): SubGraphState = {
-    val m = edges.length
-    val srcs = new Array[Long](m)
-    val dsts = new Array[Long](m)
-    var i = 0
-    while (i < m) { srcs(i) = edges(i)._1; dsts(i) = edges(i)._2; i += 1 }
-
-    val vertexIndex = new java.util.HashMap[Long, Int]()
-    val ids = new ArrayBuffer[Long]()
-    def intern(x: Long): Int =
-      if (vertexIndex.containsKey(x)) vertexIndex.get(x)
-      else { val nid = ids.length; vertexIndex.put(x, nid); ids += x; nid }
-    val lsrc = new Array[Int](m)
-    val ldst = new Array[Int](m)
-    i = 0
-    while (i < m) { lsrc(i) = intern(srcs(i)); ldst(i) = intern(dsts(i)); i += 1 }
-    val n = ids.length
-    val deg = new Array[Int](n)
-    i = 0
-    while (i < m) { deg(lsrc(i)) += 1; deg(ldst(i)) += 1; i += 1 }
-    val adjOff = new Array[Int](n + 1)
-    i = 0
-    while (i < n) { adjOff(i + 1) = adjOff(i) + deg(i); i += 1 }
-    val cursor = adjOff.clone()
-    val adjEdge = new Array[Int](2 * m)
-    i = 0
-    while (i < m) {
-      adjEdge(cursor(lsrc(i))) = i; cursor(lsrc(i)) += 1
-      adjEdge(cursor(ldst(i))) = i; cursor(ldst(i)) += 1
-      i += 1
-    }
-    val allocArr = Array.fill(m)(-1)
-    val membershipsArr: Array[Array[Int]] = Array.fill(n)(Array.emptyIntArray)
-    new SubGraphState(cellId, srcs, dsts, ids.toArray, vertexIndex, adjOff,
-      adjEdge, allocArr, membershipsArr, deg)
+    val csr = Csr(edges)
+    new SubGraphState(cellId, csr, Array.fill(csr.numEdges)(-1),
+      Array.fill(csr.numVertices)(Array.emptyIntArray),
+      Array.tabulate(csr.numVertices)(csr.degree))
   }
 }

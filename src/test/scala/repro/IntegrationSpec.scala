@@ -3,7 +3,7 @@ package repro
 import repro.apps.GasEngine
 import repro.bench.{Datasets, Runners, TextTable}
 import repro.core.CellPartitioner
-import repro.graph.{GraphGen, LocalMetrics}
+import repro.graph.GraphGen
 
 /** End-to-end pipeline tests: generate → partition (every method in the
   * paper's tables) → measure → run applications, on a small RMAT graph.
@@ -53,8 +53,8 @@ class IntegrationSpec extends SparkSpec {
       val r = Runners.run(m, spark, rdd, edges, 8)
       val engine = new GasEngine(r.edges, r.assign, 8)
       val (dist, _) = engine.sssp(src)
-      (0 until engine.st.numLocalVertices).foreach { lv =>
-        val v = engine.st.vertexIds(lv)
+      (0 until engine.csr.numVertices).foreach { lv =>
+        val v = engine.csr.vertexIds(lv)
         assert(dist(lv) == reference.getOrElse(v, Long.MaxValue),
           s"$m changed SSSP result at vertex $v")
       }

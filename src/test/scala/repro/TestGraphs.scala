@@ -83,7 +83,7 @@ object TestGraphs {
     val deg = verts.map(v => v -> adj(v).size).toMap
     var rank = verts.map(v => v -> 1.0 / n).toMap
     (0 until iterations).foreach { _ =>
-      val next = mutable.HashMap(verts.map(v => v -> (1.0 - damping) / n): _*)
+      val next = mutable.HashMap.from(verts.map(v => v -> (1.0 - damping) / n))
       verts.foreach { v =>
         val c = damping * rank(v) / deg(v)
         adj(v).foreach(u => next(u) += c)

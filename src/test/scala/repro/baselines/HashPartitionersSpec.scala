@@ -79,6 +79,14 @@ class HashPartitionersSpec extends SparkSpec {
     // every hybrid group must be a union of DBH pivot groups and vice versa
     // — verify via pivot: identical pivot implies identical group membership
     assert(hy.length == db.length)
+    val deg = skewedEdges.flatMap { case (u, v) => Seq(u, v) }
+      .groupBy(identity).view.mapValues(_.length).toMap
+    def pivot(u: Long, v: Long): Long = if (deg(u) < deg(v) || (deg(u) == deg(v) && u < v)) u else v
+    val byPivot = skewedEdges.groupBy { case (u, v) => pivot(u, v) }.values.map(_.toSet)
+    byPivot.foreach { g =>
+      assert(groupsH.exists(g.subsetOf), s"hybrid splits the pivot group $g")
+      assert(groupsD.exists(g.subsetOf), s"DBH splits the pivot group $g")
+    }
   }
 
   test("hybrid stays in range and is deterministic") {

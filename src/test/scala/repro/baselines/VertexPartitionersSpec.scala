@@ -50,7 +50,7 @@ class VertexPartitionersSpec extends SparkSpec {
 
   test("multilevel labels every vertex with an in-range partition") {
     val vp = MultilevelVertex.partition(road, 8)
-    assert(vp.labels.length == vp.st.numLocalVertices)
+    assert(vp.labels.length == vp.csr.numVertices)
     vp.labels.foreach(l => assert(l >= 0 && l < 8))
   }
 
@@ -111,7 +111,7 @@ class VertexPartitionersSpec extends SparkSpec {
 
   test("conversion assigns every edge one of its endpoints' labels") {
     val vp = LabelPropagation.spinner(skewed, 8)
-    def label(x: Long): Int = vp.labels(vp.st.vertexIndex.get(x))
+    def label(x: Long): Int = vp.labels(vp.csr.vertexIndex.get(x))
     val assign = VertexCutConversion.fromVertexPartition(vp, skewed)
     skewed.indices.foreach { i =>
       val (u, v) = skewed(i)

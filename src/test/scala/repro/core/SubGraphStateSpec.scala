@@ -13,19 +13,19 @@ class SubGraphStateSpec extends AnyFunSuite {
 
   test("build produces a consistent CSR") {
     val st = SubGraphState.build(0, TestGraphs.k4)
-    assert(st.numEdges == 6)
-    assert(st.numLocalVertices == 4)
-    assert(st.adjEdge.length == 12) // every edge under both endpoints
+    assert(st.csr.numEdges == 6)
+    assert(st.csr.numVertices == 4)
+    assert(st.csr.adjEdge.length == 12) // every edge under both endpoints
     // every vertex of K4 has degree 3
     (0 until 4).foreach { lv =>
-      assert(st.adjOff(lv + 1) - st.adjOff(lv) == 3)
+      assert(st.csr.adjOff(lv + 1) - st.csr.adjOff(lv) == 3)
       assert(st.unallocCount(lv) == 3)
     }
   }
 
   test("build of an empty cell is valid") {
     val st = SubGraphState.build(3, Array.empty)
-    assert(st.numEdges == 0 && st.numLocalVertices == 0)
+    assert(st.csr.numEdges == 0 && st.csr.numVertices == 0)
     assert(st.sampleUnallocated(5, 1L).isEmpty)
     assert(st.assignments.isEmpty)
   }
@@ -39,7 +39,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     assert(delta(2) == 5)
     // membership messages: hub + all 5 leaves got partition 2
     assert(msgs.toSet == (0L to 5L).map(x => (x, 2)).toSet)
-    assert((0 until st.numLocalVertices).forall(st.unallocCount(_) == 0))
+    assert((0 until st.csr.numVertices).forall(st.unallocCount(_) == 0))
   }
 
   test("one-hop allocation skips vertices not present locally") {
@@ -69,8 +69,8 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val bp = st.applySync(Iterator((0L, 1), (0L, 1), (2L, 3), (42L, 0)))
     assert(bp.length == 2) // (0,1) deduped; 42 not local
-    assert(st.memberships(st.vertexIndex.get(0L)).contains(1))
-    assert(st.memberships(st.vertexIndex.get(2L)).contains(3))
+    assert(st.memberships(st.csr.vertexIndex.get(0L)).contains(1))
+    assert(st.memberships(st.csr.vertexIndex.get(2L)).contains(3))
   }
 
   test("two-hop allocation takes exactly the edges whose endpoints share a partition") {
@@ -80,7 +80,8 @@ class SubGraphStateSpec extends AnyFunSuite {
     val bp = st.applySync(Iterator((1L, 0), (2L, 0)))
     val delta = new Array[Long](1)
     st.allocateTwoHop(bp, Array(0L), delta)
-    val e12 = (0 until st.numEdges).find(e => st.srcs(e) == 1L && st.dsts(e) == 2L).get
+    val e12 = (0 until st.csr.numEdges)
+      .find(e => st.csr.vertexIds(st.csr.lsrc(e)) == 1L && st.csr.vertexIds(st.csr.ldst(e)) == 2L).get
     assert(st.alloc(e12) == 0)
     assert(st.alloc.count(_ >= 0) == 1, "only the shared-membership edge may be taken")
     assert(delta(0) == 1)
@@ -126,7 +127,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.path(20))
     val s1 = st.sampleUnallocated(5, 1L)
     assert(s1.length == 5)
-    s1.foreach(v => assert(st.vertexIndex.containsKey(v)))
+    s1.foreach(v => assert(st.csr.vertexIndex.containsKey(v)))
   }
 
   test("assignments require full allocation") {
