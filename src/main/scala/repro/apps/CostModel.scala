@@ -9,17 +9,14 @@ package repro.apps
   * software overheads), 5 ms barrier per superstep. Only `ET` uses this
   * model — `COM` and `WB` are counted, not modeled.
   */
-final case class CostModel(
-    secondsPerEdge: Double = 20e-9,
-    secondsPerByte: Double = 1e-9,
-    secondsPerSuperstep: Double = 5e-3) {
-
-  def superstepSeconds(maxLocalWork: Long, bytes: Long): Double =
-    maxLocalWork * secondsPerEdge + bytes * secondsPerByte + secondsPerSuperstep
-}
-
 object CostModel {
+  val SecondsPerEdge = 20e-9
+  val SecondsPerByte = 1e-9
+  val SecondsPerSuperstep = 5e-3
+
   /** Bytes per gather/scatter record: 8-byte vertex id + 8-byte value. */
   val RecordBytes = 16L
-  val default: CostModel = CostModel()
+
+  def superstepSeconds(maxLocalWork: Long, bytes: Long): Double =
+    maxLocalWork * SecondsPerEdge + bytes * SecondsPerByte + SecondsPerSuperstep
 }

@@ -11,29 +11,26 @@ import scala.collection.mutable
   *  - [[xtrapulp]] — XtraPuLP-like (Slota et al. IPDPS'17): |P| BFS-grown
   *    seeds (no random allocation), then the same constrained LP.
   *
-  * Both return a per-vertex label over the local-vertex index of the CSR
-  * built from the edges; use [[VertexCutConversion]] to obtain the edge
-  * partitioning the paper evaluates (each edge goes to a random endpoint's
-  * partition, as in Bourse et al. KDD'14).
+  * Both return a [[VertexPartition]] over the CSR built from the edges;
+  * use [[VertexCutConversion]] to obtain the edge partitioning the paper
+  * evaluates (each edge goes to a random endpoint's partition, as in
+  * Bourse et al. KDD'14).
   */
 object LabelPropagation {
 
-  final case class VertexPartition(csr: Csr, labels: Array[Int])
+  private val Seed = 42L
+  private val CapacityFactor = 1.05 // degree-load cap, × the mean
 
-  def spinner(edges: Array[(Long, Long)], p: Int,
-              iterations: Int = 20, seed: Long = 42L,
-              capacityFactor: Double = 1.05): VertexPartition = {
+  def spinner(edges: Array[(Long, Long)], p: Int, iterations: Int = 20): VertexPartition = {
     val g = Csr(edges)
     val labels = Array.tabulate(g.numVertices) { lv =>
-      Hashing.bucket(g.vertexIds(lv), p, seed)
+      Hashing.bucket(g.vertexIds(lv), p, Seed)
     }
-    refine(g, labels, p, iterations, capacityFactor)
+    refine(g, labels, p, iterations)
     VertexPartition(g, labels)
   }
 
-  def xtrapulp(edges: Array[(Long, Long)], p: Int,
-               iterations: Int = 20, seed: Long = 42L,
-               capacityFactor: Double = 1.05): VertexPartition = {
+  def xtrapulp(edges: Array[(Long, Long)], p: Int, iterations: Int = 20): VertexPartition = {
     val g = Csr(edges)
     val n = g.numVertices
     val labels = Array.fill(n)(-1)
@@ -43,7 +40,7 @@ object LabelPropagation {
       val queue = mutable.Queue.empty[Int]
       var q = 0
       while (q < p) {
-        val s = Math.floorMod(Hashing.mix64(seed + q), n.toLong).toInt
+        val s = Math.floorMod(Hashing.mix64(Seed + q), n.toLong).toInt
         if (labels(s) < 0) { labels(s) = q; queue.enqueue(s) }
         q += 1
       }
@@ -69,15 +66,14 @@ object LabelPropagation {
         }
       }
     }
-    refine(g, labels, p, iterations, capacityFactor)
+    refine(g, labels, p, iterations)
     VertexPartition(g, labels)
   }
 
   /** Capacity-aware LP sweep: each vertex adopts the most frequent neighbor
-    * label whose projected degree-load stays below `capacityFactor` × mean.
+    * label whose projected degree-load stays below `CapacityFactor` × mean.
     */
-  private def refine(g: Csr, labels: Array[Int], p: Int,
-                     iterations: Int, capacityFactor: Double): Unit = {
+  private def refine(g: Csr, labels: Array[Int], p: Int, iterations: Int): Unit = {
     val n = g.numVertices
     if (n == 0) return
     val degLoad = new Array[Long](p)
@@ -86,7 +82,7 @@ object LabelPropagation {
       degLoad(labels(lv)) += g.degree(lv)
       lv += 1
     }
-    val cap = math.max(1L, (capacityFactor * degLoad.sum / p).toLong)
+    val cap = math.max(1L, (CapacityFactor * degLoad.sum / p).toLong)
     val counts = new Array[Int](p)
     var it = 0
     var changedAny = true

@@ -1,6 +1,11 @@
 package repro.baselines
 
-import repro.graph.Hashing
+import repro.graph.{Csr, Hashing}
+
+/** A vertex partitioning: one label per local vertex of `csr`, as returned
+  * by [[MultilevelVertex]] and [[LabelPropagation]].
+  */
+final case class VertexPartition(csr: Csr, labels: Array[Int])
 
 /** Vertex-partition → edge-partition conversion used by the paper to
   * compare against vertex partitioners (ParMETIS, Spinner, XtraPuLP):
@@ -10,21 +15,16 @@ import repro.graph.Hashing
   */
 object VertexCutConversion {
 
-  def toEdgePartition(edges: Array[(Long, Long)],
-                      labelOf: Long => Int,
-                      seed: Long = 7L): Array[Int] =
+  private val Seed = 7L
+
+  def toEdgePartition(edges: Array[(Long, Long)], labelOf: Long => Int): Array[Int] =
     edges.map { case (u, v) =>
       val pu = labelOf(u); val pv = labelOf(v)
       if (pu == pv) pu
-      else if ((Hashing.mix64(seed ^ Hashing.mix64(u) ^ v) & 1L) == 0L) pu
+      else if ((Hashing.mix64(Seed ^ Hashing.mix64(u) ^ v) & 1L) == 0L) pu
       else pv
     }
 
-  def fromVertexPartition(vp: LabelPropagation.VertexPartition,
-                          edges: Array[(Long, Long)], seed: Long = 7L): Array[Int] =
-    toEdgePartition(edges, x => vp.labels(vp.csr.vertexIndex.get(x)), seed)
-
-  def fromMultilevel(vp: MultilevelVertex.VertexPartition,
-                     edges: Array[(Long, Long)], seed: Long = 7L): Array[Int] =
-    toEdgePartition(edges, x => vp.labels(vp.csr.vertexIndex.get(x)), seed)
+  def fromVertexPartition(vp: VertexPartition, edges: Array[(Long, Long)]): Array[Int] =
+    toEdgePartition(edges, x => vp.labels(vp.csr.vertexIndex.get(x)))
 }

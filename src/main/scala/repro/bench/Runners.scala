@@ -7,6 +7,8 @@ import repro.baselines._
 import repro.core.{DistributedNE, SequentialNE}
 import repro.graph.LocalMetrics
 
+import scala.collection.immutable.SeqMap
+
 /** Shared helpers for the table benches: run a named partitioner on a
   * graph, time it, and compute the §2 quality metrics on the result.
   */
@@ -39,72 +41,50 @@ object Runners {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Runs the partitioner named as in the paper's tables.
-    *
-    * Spark-side methods (Rand., 2D-R., Obli., D.NE) consume the RDD;
-    * driver-side comparators (H.G., HDRF, NE, SNE, Sheep, P.M., X.P.)
-    * consume the pre-collected edge array — mirroring what each system is
-    * in the paper (distributed vs sequential/external comparator).
+  /** Spark-side methods: consume the edge RDD (the distributed systems). */
+  private val sparkSide: SeqMap[String, (RDD[(Long, Long)], Int) => RDD[(Long, Long, Int)]] = SeqMap(
+    "Rand." -> HashPartitioners.random1D,
+    "2D-R." -> HashPartitioners.grid,
+    "DBH" -> HashPartitioners.dbh,
+    "Obli." -> Oblivious.partition)
+
+  /** Driver-side comparators: consume the pre-collected edge array (the
+    * sequential/external systems of the paper).
+    */
+  private val driverSide: SeqMap[String, (Array[(Long, Long)], Int) => Array[Int]] = SeqMap(
+    "H.G." -> ((e, p) => HybridGinger.partition(e, p)),
+    "HDRF" -> HDRF.partition,
+    "NE" -> ((e, p) => SequentialNE.partition(e, SequentialNE.Config(p))),
+    // SNE's buffer holds ~100 M edges in the original; every stand-in fits
+    // in one buffer, so the faithful setting is a single chunk. Smaller
+    // buffers (the memory/quality trade-off) are exercised in unit tests.
+    "SNE" -> ((e, p) => SNE.partition(e, p, chunkEdges = math.max(1, e.length))),
+    "Sheep" -> Sheep.partition,
+    "P.M." -> ((e, p) => VertexCutConversion.fromVertexPartition(MultilevelVertex.partition(e, p), e)),
+    "X.P." -> ((e, p) => VertexCutConversion.fromVertexPartition(LabelPropagation.xtrapulp(e, p), e)),
+    "Spinner" -> ((e, p) => VertexCutConversion.fromVertexPartition(LabelPropagation.spinner(e, p), e)))
+
+  /** Every method name [[run]] accepts. */
+  val methods: Seq[String] = (sparkSide.keys ++ driverSide.keys).toSeq :+ "D.NE"
+
+  /** Runs the partitioner named as in the paper's tables. D.NE's time
+    * excludes collecting its assignment; the other Spark-side methods are
+    * timed through the collect that materialises them.
     */
   def run(method: String, spark: SparkSession, rdd: RDD[(Long, Long)],
-          edges: Array[(Long, Long)], p: Int, seed: Long = 42L): RunResult =
+          edges: Array[(Long, Long)], p: Int): RunResult =
     method match {
-      case "Rand." =>
-        val (a, s) = timed(collectAssign(HashPartitioners.random1D(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "2D-R." =>
-        val (a, s) = timed(collectAssign(HashPartitioners.grid(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "DBH" =>
-        val (a, s) = timed(collectAssign(HashPartitioners.dbh(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "Obli." =>
-        val (a, s) = timed(collectAssign(Oblivious.partition(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "H.G." =>
-        val (a, s) = timed(HybridGinger.partition(edges, p))
-        metricsOf(method, edges, a, s)
-      case "HDRF" =>
-        val (a, s) = timed(HDRF.partition(edges, p))
-        metricsOf(method, edges, a, s)
-      case "NE" =>
-        val (a, s) = timed(SequentialNE.partition(edges, SequentialNE.Config(p, seed = seed)))
-        metricsOf(method, edges, a, s)
-      case "SNE" =>
-        // SNE's buffer holds ~100 M edges in the original; every stand-in
-        // fits in one buffer, so the faithful default is a single chunk.
-        // Smaller buffers (the memory/quality trade-off) are exercised in
-        // unit tests and via SNE_CHUNK_DIV.
-        val div = sys.env.getOrElse("SNE_CHUNK_DIV", "1").toInt
-        val (a, s) = timed(SNE.partition(edges, p, chunkEdges = math.max(1, edges.length / div)))
-        metricsOf(method, edges, a, s)
-      case "Sheep" =>
-        val (a, s) = timed(Sheep.partition(edges, p))
-        metricsOf(method, edges, a, s)
-      case "P.M." =>
-        val (a, s) = timed {
-          val vp = MultilevelVertex.partition(edges, p, seed = seed)
-          VertexCutConversion.fromMultilevel(vp, edges)
-        }
-        metricsOf(method, edges, a, s)
-      case "X.P." =>
-        val (a, s) = timed {
-          val vp = LabelPropagation.xtrapulp(edges, p, seed = seed)
-          VertexCutConversion.fromVertexPartition(vp, edges)
-        }
-        metricsOf(method, edges, a, s)
-      case "Spinner" =>
-        val (a, s) = timed {
-          val vp = LabelPropagation.spinner(edges, p, seed = seed)
-          VertexCutConversion.fromVertexPartition(vp, edges)
-        }
-        metricsOf(method, edges, a, s)
       case "D.NE" =>
-        val (res, s) = timed(DistributedNE.partition(spark, rdd,
-          DistributedNE.Config(numPartitions = p, seed = seed)))
+        val (res, s) = timed(DistributedNE.partition(spark, rdd, DistributedNE.Config(numPartitions = p)))
         val (es, as) = collectAssign(res.assignments)
         res.assignments.unpersist(blocking = false)
         metricsOf(method, es, as, s)
+      case m if sparkSide.contains(m) =>
+        val ((es, as), s) = timed(collectAssign(sparkSide(m)(rdd, p)))
+        metricsOf(method, es, as, s)
+      case m if driverSide.contains(m) =>
+        val (as, s) = timed(driverSide(m)(edges, p))
+        metricsOf(method, edges, as, s)
       case other => throw new IllegalArgumentException(s"unknown partitioner: $other")
     }
 }

@@ -54,7 +54,7 @@ object Table5 {
         Seq(f(c.rf, 1), f(c.eb, 1), f(c.vb, 1))
       }
     }
-    def appRows(app: String, get: Cell => AppRow): Seq[Seq[String]] = methods.map { m =>
+    def appRows(get: Cell => AppRow): Seq[Seq[String]] = methods.map { m =>
       m +: data.flatMap { case (_, cells) =>
         val a = get(cells.find(_._1 == m).get._2)
         Seq(f(a.et, 3), f(a.comMB, 1), f(a.wb, 2))
@@ -63,9 +63,9 @@ object Table5 {
 
     val rows =
       (Seq("Quality" +: header.tail.map(_ => ""), subHeader) ++ qualityRows) ++
-      (Seq(s"SSSP (ET modeled s / COM MB / WB)" +: header.tail.map(_ => "")) ++ appRows("SSSP", _.sssp)) ++
-      (Seq(s"WCC" +: header.tail.map(_ => "")) ++ appRows("WCC", _.wcc)) ++
-      (Seq(s"PageRank ($prIterations iters)" +: header.tail.map(_ => "")) ++ appRows("PR", _.pr))
+      (Seq(s"SSSP (ET modeled s / COM MB / WB)" +: header.tail.map(_ => "")) ++ appRows(_.sssp)) ++
+      (Seq(s"WCC" +: header.tail.map(_ => "")) ++ appRows(_.wcc)) ++
+      (Seq(s"PageRank ($prIterations iters)" +: header.tail.map(_ => "")) ++ appRows(_.pr))
 
     TextTable.render(
       s"Table 5: graph applications on |P|=$P (-like stand-in graphs; COM in MB)",

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.Partitioner
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -8,17 +8,6 @@ import org.apache.spark.storage.StorageLevel
 import repro.graph.{Grid2D, Hashing}
 
 import scala.collection.mutable
-
-/** Identity partitioner over pre-computed cell ids. */
-final class CellPartitioner(val cells: Int) extends Partitioner {
-  override def numPartitions: Int = cells
-  override def getPartition(key: Any): Int = key.asInstanceOf[Int]
-  override def equals(other: Any): Boolean = other match {
-    case c: CellPartitioner => c.cells == cells
-    case _ => false
-  }
-  override def hashCode(): Int = cells
-}
 
 /** Distributed Neighbor Expansion (the paper's contribution, §3–§5) as a
   * Spark RDD dataflow.
@@ -81,7 +70,8 @@ object DistributedNE {
     val sc = spark.sparkContext
     val p = cfg.numPartitions
     val grid = Grid2D.forPartitions(p)
-    val cellPart = new CellPartitioner(grid.numCells)
+    // an Int key k in [0, A) hashes to itself, so cell k is RDD partition k
+    val cellPart = new HashPartitioner(grid.numCells)
 
     // ---- initial distribution: 2D-hash + CSR per cell (paper §4) ----
     var stateCached: RDD[_] = null
@@ -160,13 +150,8 @@ object DistributedNE {
       val phase1 = state.mapPartitions({ it =>
         val (cell, st0) = it.next()
         val st = st0.copy()
-        val selArr = selBc.value
-        val selMap = new java.util.HashMap[java.lang.Long, java.lang.Integer]()
-        selArr.foreach { case (v, q) =>
-          selMap.putIfAbsent(java.lang.Long.valueOf(v), java.lang.Integer.valueOf(q))
-        }
         val delta = new Array[Long](numP)
-        val msgs = st.allocateOneHop(selArr, selMap, sizesBc.value, delta, quotaBc.value)
+        val msgs = st.allocateOneHop(selBc.value, sizesBc.value, delta, quotaBc.value)
         Iterator((cell, Phase1Out(st, msgs.toArray, delta)))
       }, preservesPartitioning = true).persist(StorageLevel.MEMORY_ONLY)
 

@@ -17,8 +17,10 @@ import scala.collection.mutable
   */
 object SequentialNE {
 
-  final case class Config(numPartitions: Int, alpha: Double = 1.1, seed: Long = 42L) {
-    require(numPartitions >= 1 && alpha > 1.0)
+  private val Alpha = 1.1 // imbalance factor (Eq. 2)
+
+  final case class Config(numPartitions: Int, seed: Long = 42L) {
+    require(numPartitions >= 1)
   }
 
   /** @return per-edge partition ids aligned with `edges`. */
@@ -44,7 +46,7 @@ object SequentialNE {
     while (p < cfg.numPartitions && remaining > 0) {
       val cap =
         if (p == cfg.numPartitions - 1) Long.MaxValue
-        else math.ceil(cfg.alpha * m / cfg.numPartitions).toLong
+        else math.ceil(Alpha * m / cfg.numPartitions).toLong
       var size = 0L
       val heap = mutable.PriorityQueue.empty[(Int, Int)](
         Ordering.Tuple2[Int, Int].reverse) // (drest, localVertex) min-heap

@@ -69,19 +69,24 @@ final class SubGraphState(
     * and deterministically: the less-loaded partition wins, ties to the
     * smaller id — the distributed analogue of the paper's CAS.
     *
-    * @param sel    selected (vertex → partition), iterated in the caller's
-    *               deterministic order via `selOrder`
-    * @param sizes  global |E_p| snapshot from the driver (start of iteration)
-    * @param delta  per-partition edges allocated locally this iteration
-    *               (updated in place; used to keep conflict resolution and
-    *               two-hop target choice load-aware within the iteration)
+    * @param selOrder selected (vertex, partition) pairs in the driver's
+    *                 deterministic order; a vertex selected twice belongs
+    *                 to its first partition
+    * @param sizes    global |E_p| snapshot from the driver (start of iteration)
+    * @param delta    per-partition edges allocated locally this iteration
+    *                 (updated in place; used to keep conflict resolution and
+    *                 two-hop target choice load-aware within the iteration)
+    * @param quota    per-partition cap on `delta` for this cell
     * @return new vertex→partition membership messages to synchronise
     */
   def allocateOneHop(selOrder: Array[(Long, Int)],
-                     sel: java.util.HashMap[java.lang.Long, java.lang.Integer],
                      sizes: Array[Long],
                      delta: Array[Long],
-                     quota: Array[Long] = null): ArrayBuffer[(Long, Int)] = {
+                     quota: Array[Long]): ArrayBuffer[(Long, Int)] = {
+    val sel = new java.util.HashMap[java.lang.Long, java.lang.Integer]()
+    selOrder.foreach { case (v, q) =>
+      sel.putIfAbsent(java.lang.Long.valueOf(v), java.lang.Integer.valueOf(q))
+    }
     val msgs = new ArrayBuffer[(Long, Int)]()
     // Capacity-aware allocation (Eq. 2's constraint enforced *during* the
     // iteration): the driver hands every cell a per-partition quota of
@@ -93,7 +98,7 @@ final class SubGraphState(
     // An edge whose claimants are all at quota stays unallocated for a
     // later iteration; termination is unaffected because some partition is
     // always below cap while edges remain.
-    def feasible(q: Int): Boolean = quota == null || delta(q) < quota(q)
+    def feasible(q: Int): Boolean = delta(q) < quota(q)
     var i = 0
     while (i < selOrder.length) {
       val (v, p) = selOrder(i)
@@ -162,7 +167,7 @@ final class SubGraphState(
   def allocateTwoHop(bpNew: Array[(Int, Int)],
                      sizes: Array[Long],
                      delta: Array[Long],
-                     quota: Array[Long] = null): Unit = {
+                     quota: Array[Long]): Unit = {
     val ignored = new ArrayBuffer[(Long, Int)]() // two-hop adds no memberships
     var i = 0
     while (i < bpNew.length) {
@@ -203,8 +208,7 @@ final class SubGraphState(
       else {
         val p = a(i)
         val load = sizes(p) + delta(p)
-        val feasible = quota == null || delta(p) < quota(p)
-        if (feasible && load < bestLoad) { best = p; bestLoad = load }
+        if (delta(p) < quota(p) && load < bestLoad) { best = p; bestLoad = load }
         i += 1; j += 1
       }
     }

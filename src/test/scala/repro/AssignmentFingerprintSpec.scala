@@ -1,11 +1,14 @@
 package repro
 
+import org.apache.spark.rdd.RDD
 import repro.apps.GasEngine
-import repro.baselines.{LabelPropagation, MultilevelVertex, SNE, Sheep, VertexCutConversion}
+import repro.baselines.{HDRF, HashPartitioners, HybridGinger, LabelPropagation, MultilevelVertex,
+  Oblivious, SNE, Sheep, VertexCutConversion}
 import repro.core.{DistributedNE, SequentialNE}
 import repro.graph.Hashing
 
-/** Pins the exact output of every CSR-walking algorithm under fixed seeds.
+/** Pins the exact output of every partitioner and of the GAS engine under
+  * fixed seeds.
   *
   * The constants are fingerprints of the outputs as first recorded; a pure
   * refactor of the adjacency walk (interning order, adjacency order, local
@@ -25,6 +28,11 @@ class AssignmentFingerprintSpec extends SparkSpec {
   private def ofParts(parts: Array[Int]): Long =
     fingerprint(Iterator.single(parts.length.toLong) ++ parts.iterator.map(_.toLong))
 
+  private def ofTriples(rdd: RDD[(Long, Long, Int)]): Long = {
+    val triples = rdd.collect().sortBy(t => (t._1, t._2))
+    fingerprint(triples.iterator.flatMap(t => Iterator(t._1, t._2, t._3.toLong)))
+  }
+
   private def ofStats(s: GasEngine.Stats): Iterator[Long] =
     Iterator(s.supersteps.toLong, s.comBytes,
       java.lang.Double.doubleToLongBits(s.elapsedSeconds),
@@ -35,9 +43,18 @@ class AssignmentFingerprintSpec extends SparkSpec {
     "SNE one chunk" -> (e => SNE.partition(e, p, chunkEdges = math.max(1, e.length))),
     "SNE eight chunks" -> (e => SNE.partition(e, p, chunkEdges = math.max(1, e.length / 8))),
     "Sheep" -> (e => Sheep.partition(e, p)),
-    "P.M." -> (e => VertexCutConversion.fromMultilevel(MultilevelVertex.partition(e, p), e)),
+    "P.M." -> (e => VertexCutConversion.fromVertexPartition(MultilevelVertex.partition(e, p), e)),
     "X.P." -> (e => VertexCutConversion.fromVertexPartition(LabelPropagation.xtrapulp(e, p), e)),
-    "Spinner" -> (e => VertexCutConversion.fromVertexPartition(LabelPropagation.spinner(e, p), e)))
+    "Spinner" -> (e => VertexCutConversion.fromVertexPartition(LabelPropagation.spinner(e, p), e)),
+    "HDRF" -> (e => HDRF.partition(e, p)),
+    "H.G." -> (e => HybridGinger.partition(e, p)))
+
+  /** Spark-side partitioners, each run on the edges split into 4 slices. */
+  private val rddPartitioners: Seq[(String, (RDD[(Long, Long)], Int) => RDD[(Long, Long, Int)])] = Seq(
+    "Rand." -> HashPartitioners.random1D,
+    "2D-R." -> HashPartitioners.grid,
+    "DBH" -> HashPartitioners.dbh,
+    "Obli." -> Oblivious.partition)
 
   private val expected: Map[(String, String), Long] = Map(
     ("NE", "skewed") -> 0xd044dbd9b88d3657L,
@@ -53,11 +70,32 @@ class AssignmentFingerprintSpec extends SparkSpec {
     ("X.P.", "skewed") -> 0x7ee4e26ca5bc1317L,
     ("X.P.", "ring") -> 0x58e0c06208be1f88L,
     ("Spinner", "skewed") -> 0x9b398996e555b25eL,
-    ("Spinner", "ring") -> 0xd2a19a426f2d410bL)
+    ("Spinner", "ring") -> 0xd2a19a426f2d410bL,
+    ("HDRF", "skewed") -> 0x31889a4b87568490L,
+    ("HDRF", "ring") -> 0x2bfac28c68289889L,
+    ("H.G.", "skewed") -> 0x0f72b56bdcedeb21L,
+    ("H.G.", "ring") -> 0x46a1774cbfd7949bL,
+    ("Rand.", "skewed") -> 0xc680cd97d21d949eL,
+    ("Rand.", "ring") -> 0x3404543dbe0b9e70L,
+    ("2D-R.", "skewed") -> 0x9699a7384c9e57ffL,
+    ("2D-R.", "ring") -> 0x5d753698cf8e1f5cL,
+    ("DBH", "skewed") -> 0xf4967c00a6657f2eL,
+    ("DBH", "ring") -> 0xba8c62515519d86fL,
+    ("Obli.", "skewed") -> 0x15e029fa624629e7L,
+    ("Obli.", "ring") -> 0x79b07b2d74657961L)
 
-  for ((name, run) <- edgePartitioners; (gname, g) <- Seq("skewed" -> skewed, "ring" -> ring)) {
+  private val graphs = Seq("skewed" -> skewed, "ring" -> ring)
+
+  for ((name, run) <- edgePartitioners; (gname, g) <- graphs) {
     test(s"$name on the $gname graph keeps its recorded assignment") {
       val got = ofParts(run(g))
+      assert(got == expected((name, gname)), f"fingerprint is now 0x$got%016xL")
+    }
+  }
+
+  for ((name, run) <- rddPartitioners; (gname, g) <- graphs) {
+    test(s"$name on the $gname graph keeps its recorded assignment") {
+      val got = ofTriples(run(spark.sparkContext.parallelize(g.toSeq, 4), p))
       assert(got == expected((name, gname)), f"fingerprint is now 0x$got%016xL")
     }
   }
@@ -78,9 +116,8 @@ class AssignmentFingerprintSpec extends SparkSpec {
   test("Distributed NE keeps its recorded assignment") {
     val res = DistributedNE.partition(spark, spark.sparkContext.parallelize(skewed.toSeq, 4),
       DistributedNE.Config(numPartitions = p))
-    val triples = res.assignments.collect().sortBy(t => (t._1, t._2))
+    val got = ofTriples(res.assignments)
     res.assignments.unpersist(blocking = false)
-    val got = fingerprint(triples.iterator.flatMap(t => Iterator(t._1, t._2, t._3.toLong)))
     assert(got == 0xca2ae9f42a3ce13eL, f"fingerprint is now 0x$got%016xL")
   }
 }

@@ -1,8 +1,7 @@
 package repro
 
 import repro.apps.GasEngine
-import repro.bench.{Datasets, Runners, TextTable}
-import repro.core.CellPartitioner
+import repro.bench.{Datasets, Runners, Table4, Table5, Table6, TextTable}
 import repro.graph.GraphGen
 
 /** End-to-end pipeline tests: generate → partition (every method in the
@@ -15,11 +14,7 @@ class IntegrationSpec extends SparkSpec {
     GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 77).collect().sorted
   private lazy val rdd = spark.sparkContext.parallelize(edges.toSeq, 8).cache()
 
-  private val allMethods =
-    Seq("Rand.", "2D-R.", "DBH", "Obli.", "H.G.", "HDRF", "NE", "SNE",
-        "Sheep", "P.M.", "X.P.", "Spinner", "D.NE")
-
-  for (method <- allMethods) {
+  for (method <- Runners.methods) {
     test(s"pipeline[$method]: total, in-range, measurable assignment") {
       val r = Runners.run(method, spark, rdd, edges, p = 8)
       assert(r.assign.length == edges.length, s"$method dropped edges")
@@ -93,12 +88,9 @@ class IntegrationSpec extends SparkSpec {
       Runners.run("nope", spark, rdd, edges, 4))
   }
 
-  test("CellPartitioner routes keys identically to their cell id") {
-    val cp = new CellPartitioner(16)
-    assert(cp.numPartitions == 16)
-    (0 until 16).foreach(i => assert(cp.getPartition(i) == i))
-    assert(cp == new CellPartitioner(16))
-    assert(cp != new CellPartitioner(8))
+  test("every method of Tables 4, 5 and 6 resolves in Runners") {
+    for (m <- Table4.methods ++ Table5.methods ++ Table6.methods)
+      assert(Runners.methods.contains(m), s"$m is not a Runners method")
   }
 
   test("TextTable renders aligned rows and formats doubles") {

@@ -161,7 +161,7 @@ class GasEngineSpec extends AnyFunSuite {
   }
 
   test("cost model composes its three terms") {
-    val cm = CostModel(secondsPerEdge = 1.0, secondsPerByte = 2.0, secondsPerSuperstep = 3.0)
-    assert(cm.superstepSeconds(5, 7) == 5 * 1.0 + 7 * 2.0 + 3.0)
+    import CostModel._
+    assert(superstepSeconds(5, 7) == 5 * SecondsPerEdge + 7 * SecondsPerByte + SecondsPerSuperstep)
   }
 }

@@ -68,32 +68,16 @@ class HashPartitionersSpec extends SparkSpec {
     assert(t.forall(x => x._3 >= 0 && x._3 < 4))
   }
 
-  test("hybrid with a huge threshold degenerates to low-endpoint grouping") {
-    val rdd = rddOf(skewedEdges)
-    val hy = collectTriples(HashPartitioners.hybrid(rdd, 8, threshold = Int.MaxValue))
-    val db = collectTriples(HashPartitioners.dbh(rdd, 8))
-    // both pivot on the lower-degree endpoint; only the salt differs, so the
-    // *structure* (which edges co-locate) must match
-    val groupsH = hy.groupBy(_._3).values.map(_.map(t => (t._1, t._2)).toSet).toSet
-    val groupsD = db.groupBy(_._3).values.map(_.map(t => (t._1, t._2)).toSet).toSet
-    // every hybrid group must be a union of DBH pivot groups and vice versa
-    // — verify via pivot: identical pivot implies identical group membership
-    assert(hy.length == db.length)
+  test("dbh keeps every pivot group inside one part") {
+    // the pivot is the lower-degree endpoint, ties to the smaller id
+    val db = collectTriples(HashPartitioners.dbh(rddOf(skewedEdges), 8))
+    assert(db.length == skewedEdges.length)
     val deg = skewedEdges.flatMap { case (u, v) => Seq(u, v) }
       .groupBy(identity).view.mapValues(_.length).toMap
     def pivot(u: Long, v: Long): Long = if (deg(u) < deg(v) || (deg(u) == deg(v) && u < v)) u else v
-    val byPivot = skewedEdges.groupBy { case (u, v) => pivot(u, v) }.values.map(_.toSet)
-    byPivot.foreach { g =>
-      assert(groupsH.exists(g.subsetOf), s"hybrid splits the pivot group $g")
-      assert(groupsD.exists(g.subsetOf), s"DBH splits the pivot group $g")
+    db.groupBy { case (u, v, _) => pivot(u, v) }.foreach { case (x, group) =>
+      assert(group.map(_._3).distinct.length == 1, s"DBH splits the pivot group of $x")
     }
-  }
-
-  test("hybrid stays in range and is deterministic") {
-    val a = collectTriples(HashPartitioners.hybrid(rddOf(skewedEdges), 8))
-    val b = collectTriples(HashPartitioners.hybrid(rddOf(skewedEdges), 8))
-    assert(a.toSeq == b.toSeq)
-    a.foreach(x => assert(x._3 >= 0 && x._3 < 8))
   }
 
   test("degrees matches a driver-side count") {

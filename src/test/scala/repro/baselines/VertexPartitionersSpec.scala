@@ -56,7 +56,7 @@ class VertexPartitionersSpec extends SparkSpec {
 
   test("multilevel is near-perfect on the road lattice after conversion") {
     val vp = MultilevelVertex.partition(road, 8)
-    val rf = rfOf(road, VertexCutConversion.fromMultilevel(vp, road))
+    val rf = rfOf(road, VertexCutConversion.fromVertexPartition(vp, road))
     assert(rf < 1.6, s"multilevel road RF should be near 1, got $rf")
   }
 

@@ -5,11 +5,8 @@ import repro.TestGraphs
 
 class SubGraphStateSpec extends AnyFunSuite {
 
-  private def selMap(pairs: (Long, Int)*): java.util.HashMap[java.lang.Long, java.lang.Integer] = {
-    val m = new java.util.HashMap[java.lang.Long, java.lang.Integer]()
-    pairs.foreach { case (v, p) => m.putIfAbsent(java.lang.Long.valueOf(v), java.lang.Integer.valueOf(p)) }
-    m
-  }
+  /** A per-partition quota that never binds. */
+  private def noQuota(p: Int): Array[Long] = Array.fill(p)(Long.MaxValue)
 
   test("build produces a consistent CSR") {
     val st = SubGraphState.build(0, TestGraphs.k4)
@@ -34,7 +31,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.star(5))
     val sel = Array((0L, 2)) // select the hub for partition 2
     val delta = new Array[Long](4)
-    val msgs = st.allocateOneHop(sel, selMap((0L, 2)), new Array[Long](4), delta)
+    val msgs = st.allocateOneHop(sel, new Array[Long](4), delta, noQuota(4))
     assert(st.alloc.forall(_ == 2))
     assert(delta(2) == 5)
     // membership messages: hub + all 5 leaves got partition 2
@@ -45,7 +42,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("one-hop allocation skips vertices not present locally") {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val delta = new Array[Long](2)
-    val msgs = st.allocateOneHop(Array((99L, 0)), selMap((99L, 0)), new Array[Long](2), delta)
+    val msgs = st.allocateOneHop(Array((99L, 0)), new Array[Long](2), delta, noQuota(2))
     assert(msgs.isEmpty && st.alloc.forall(_ == -1))
   }
 
@@ -54,14 +51,14 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, Array((0L, 1L)))
     val sizes = Array(10L, 3L) // partition 1 is lighter
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 0), (1L, 1)), selMap((0L, 0), (1L, 1)), sizes, delta)
+    st.allocateOneHop(Array((0L, 0), (1L, 1)), sizes, delta, noQuota(2))
     assert(st.alloc(0) == 1, "lighter partition must win the conflict")
   }
 
   test("conflict ties break to the smaller partition id") {
     val st = SubGraphState.build(0, Array((0L, 1L)))
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 1), (1L, 0)), selMap((0L, 1), (1L, 0)), Array(5L, 5L), delta)
+    st.allocateOneHop(Array((0L, 1), (1L, 0)), Array(5L, 5L), delta, noQuota(2))
     assert(st.alloc(0) == 0)
   }
 
@@ -79,7 +76,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.path(3))
     val bp = st.applySync(Iterator((1L, 0), (2L, 0)))
     val delta = new Array[Long](1)
-    st.allocateTwoHop(bp, Array(0L), delta)
+    st.allocateTwoHop(bp, Array(0L), delta, noQuota(1))
     val e12 = (0 until st.csr.numEdges)
       .find(e => st.csr.vertexIds(st.csr.lsrc(e)) == 1L && st.csr.vertexIds(st.csr.ldst(e)) == 2L).get
     assert(st.alloc(e12) == 0)
@@ -91,14 +88,14 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, Array((1L, 2L)))
     val bp = st.applySync(Iterator((1L, 0), (1L, 1), (2L, 0), (2L, 1)))
     val delta = new Array[Long](2)
-    st.allocateTwoHop(bp, Array(9L, 2L), delta)
+    st.allocateTwoHop(bp, Array(9L, 2L), delta, noQuota(2))
     assert(st.alloc(0) == 1)
   }
 
   test("localDrest reports remaining degree and drops zeros") {
     val st = SubGraphState.build(0, TestGraphs.path(3)) // 0-1-2-3
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), selMap((0L, 0)), Array(0L), delta) // takes (0,1)
+    st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota(1)) // takes (0,1)
     val bp = st.applySync(Iterator((0L, 0), (1L, 0)))
     val reports = st.localDrest(bp)
     // vertex 0 exhausted (degree 1, allocated) → dropped; vertex 1 has (1,2) left
@@ -109,7 +106,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val cp = st.copy()
     val delta = new Array[Long](1)
-    cp.allocateOneHop(Array((0L, 0)), selMap((0L, 0)), Array(0L), delta)
+    cp.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota(1))
     assert(st.alloc.forall(_ == -1), "original must be untouched")
     assert(st.unallocCount.forall(_ == 3))
     assert(st.memberships.forall(_.isEmpty))
@@ -119,7 +116,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("sampleUnallocated only returns vertices with remaining edges") {
     val st = SubGraphState.build(0, TestGraphs.star(4))
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), selMap((0L, 0)), Array(0L), delta)
+    st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota(1))
     assert(st.sampleUnallocated(10, 1L).isEmpty)
   }
 
@@ -138,8 +135,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("assignments emit every edge once after full allocation") {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val delta = new Array[Long](1)
-    st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray,
-      selMap((0L to 3L).map(x => (x, 0)): _*), Array(0L), delta)
+    st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray, Array(0L), delta, noQuota(1))
     val as = st.assignments.toArray
     assert(as.length == 6 && as.forall(_._3 == 0))
   }
