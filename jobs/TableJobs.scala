@@ -56,9 +56,7 @@ object PartitionJob {
       .getOrElse(throw new IllegalArgumentException(
         s"unknown graph '$name'; known: " +
         (Datasets.skewed ++ Datasets.roads).map(_.name).mkString(", ")))
-    val rdd = spec.edges(spark).cache()
-    rdd.count()
-    val edges = Datasets.collect(spark, spec)
+    val (rdd, edges) = Datasets.load(spark, spec)
     val r = Runners.run(method, spark, rdd, edges, p)
     println(f"method=$method graph=$name P=$p RF=${r.rf}%.3f EB=${r.eb}%.3f " +
             f"VB=${r.vb}%.3f time=${r.seconds}%.2fs edges=${edges.length}")

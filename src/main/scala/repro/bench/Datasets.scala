@@ -15,9 +15,7 @@ import repro.graph.GraphGen
 object Datasets {
 
   final case class GraphSpec(name: String, paperName: String,
-                             gen: SparkSession => RDD[(Long, Long)]) {
-    def edges(spark: SparkSession): RDD[(Long, Long)] = gen(spark)
-  }
+                             edges: SparkSession => RDD[(Long, Long)])
 
   /** Skewed social/web graphs of Table 2 (order follows paper Table 5).
     *
@@ -62,12 +60,15 @@ object Datasets {
     GraphSpec("texas-like", "Tex.", s => GraphGen.roadLattice(s, 200, 200, seed = 23)),
   )
 
-  /** Collected canonical edges, deterministically ordered — the handoff to
-    * the driver-side comparators (HDRF/NE/SNE/Sheep/ParMETIS-like/LP).
+  /** Generates the graph once: the cached edge RDD the Spark-side methods
+    * consume, and the same edges collected and sorted for the driver-side
+    * comparators (H.G./HDRF/NE/SNE/Sheep/P.M./X.P./Spinner). The collect
+    * fills the cache. The caller unpersists the RDD.
     */
-  def collect(spark: SparkSession, spec: GraphSpec): Array[(Long, Long)] = {
-    val a = spec.edges(spark).collect()
+  def load(spark: SparkSession, spec: GraphSpec): (RDD[(Long, Long)], Array[(Long, Long)]) = {
+    val rdd = spec.edges(spark).cache()
+    val a = rdd.collect()
     scala.util.Sorting.quickSort(a)(Ordering.Tuple2[Long, Long])
-    a
+    (rdd, a)
   }
 }

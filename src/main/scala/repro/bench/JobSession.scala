@@ -2,17 +2,16 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 
-/** SparkSession factory for the `jobs/` entrypoints (spark-submit or
-  * `sbt runMain`). Mirrors the test session's settings.
+/** The one SparkSession factory: the `jobs/` entrypoints (spark-submit or
+  * `sbt runMain`) and the test suites build their session here.
+  * `SPARK_MASTER` picks the deployment (default `local[*]`).
   */
 object JobSession {
   def create(appName: String): SparkSession =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
 }

@@ -11,7 +11,6 @@ import org.apache.spark.sql.SparkSession
 object Table4 {
 
   val P = 64
-  val graphNames = Seq("pokec-like", "flickr-like", "livej-like", "orkut-like")
   val methods = Seq("HDRF", "NE", "SNE", "D.NE")
 
   val paperRF: Map[String, Seq[Double]] = Map( // Pokec, Flickr, LiveJ., Orkut
@@ -29,9 +28,7 @@ object Table4 {
 
   def compute(spark: SparkSession): Seq[(String, Map[String, Runners.RunResult])] =
     Datasets.table4.map { spec =>
-      val rdd = spec.edges(spark).cache()
-      rdd.count()
-      val edges = Datasets.collect(spark, spec)
+      val (rdd, edges) = Datasets.load(spark, spec)
       val byMethod = methods.map(m => m -> Runners.run(m, spark, rdd, edges, P)).toMap
       rdd.unpersist(blocking = false)
       spec.name -> byMethod
@@ -46,7 +43,7 @@ object Table4 {
               paperVals: Map[String, Seq[Double]]): Seq[Seq[String]] =
       methods.flatMap { m =>
         Seq(
-          s"$metric $m (paper)" +: graphNames.indices.map(i => f(paperVals(m)(i))),
+          s"$metric $m (paper)" +: specs.indices.map(i => f(paperVals(m)(i))),
           s"$metric $m (ours)"  +: results.map { case (_, r) => f(get(r(m))) },
         )
       }

@@ -25,9 +25,7 @@ object Table5 {
 
   def compute(spark: SparkSession): Seq[(String, Seq[(String, Cell)])] =
     Datasets.skewed.map { spec =>
-      val rdd = spec.edges(spark).cache()
-      rdd.count()
-      val edges = Datasets.collect(spark, spec)
+      val (rdd, edges) = Datasets.load(spark, spec)
       val source = edges.iterator.flatMap(e => Iterator(e._1, e._2)).min
       val perMethod = methods.map { m =>
         val r = Runners.run(m, spark, rdd, edges, P)

@@ -26,9 +26,7 @@ object Table6 {
 
   def compute(spark: SparkSession): Seq[Map[String, Double]] =
     Datasets.roads.map { spec =>
-      val rdd = spec.edges(spark).cache()
-      rdd.count()
-      val edges = Datasets.collect(spark, spec)
+      val (rdd, edges) = Datasets.load(spark, spec)
       val byMethod = methods.map(m => m -> Runners.run(m, spark, rdd, edges, P).rf).toMap
       rdd.unpersist(blocking = false)
       byMethod

@@ -52,6 +52,14 @@ object DistributedNE {
   private val CheckpointEvery = 20
   private val MaxIterations = 100000
 
+  /** One round's driver decisions, shipped to every cell in one broadcast:
+    * the sorted selection, the partition sizes and the per-cell quota.
+    */
+  private final case class Round(
+      selOrder: Array[(Long, Int)],
+      sizes: Array[Long],
+      quota: Array[Long])
+
   private final case class Phase1Out(
       state: SubGraphState,
       msgs: Array[(Long, Int)],
@@ -77,9 +85,9 @@ object DistributedNE {
     var stateCached: RDD[_] = null
     var state: RDD[(Int, SubGraphState)] = edges
       .map { case (u, v) => (grid.cellOf(u, v), (u, v)) }
-      .groupByKey(cellPart)
+      .partitionBy(cellPart)
       .mapPartitionsWithIndex({ (cell, it) =>
-        val local = it.flatMap(_._2).toArray
+        val local = it.map(_._2).toArray
         Iterator((cell, SubGraphState.build(cell, local)))
       }, preservesPartitioning = true)
       .persist(StorageLevel.MEMORY_ONLY)
@@ -139,19 +147,16 @@ object DistributedNE {
         if (exps(q).done) 0L
         else math.max(1L, math.ceil((cap - exps(q).size) / grid.numCells).toLong)
       }
-      val selBc = sc.broadcast(selOrder)
-      val sizesBc = sc.broadcast(sizes)
-      val quotaBc = sc.broadcast(quota)
-      val gridBc = grid
-      val numP = p
+      val roundBc = sc.broadcast(Round(selOrder, sizes, quota))
       val iterSeed = Hashing.mix64(cfg.seed ^ (iter + 1).toLong)
 
       // -- phase 1: one-hop allocation --
       val phase1 = state.mapPartitions({ it =>
         val (cell, st0) = it.next()
         val st = st0.copy()
-        val delta = new Array[Long](numP)
-        val msgs = st.allocateOneHop(selBc.value, sizesBc.value, delta, quotaBc.value)
+        val round = roundBc.value
+        val delta = new Array[Long](p)
+        val msgs = st.allocateOneHop(round.selOrder, round.sizes, delta, round.quota)
         Iterator((cell, Phase1Out(st, msgs.toArray, delta)))
       }, preservesPartitioning = true).persist(StorageLevel.MEMORY_ONLY)
 
@@ -160,7 +165,7 @@ object DistributedNE {
       val msgs: RDD[(Int, (Long, Int))] = phase1
         .flatMap { case (_, out) =>
           out.msgs.iterator.flatMap { m =>
-            gridBc.replicaCells(m._1).iterator.map(c => (c, m))
+            grid.replicaCells(m._1).iterator.map(c => (c, m))
           }
         }
         .partitionBy(cellPart)
@@ -169,9 +174,10 @@ object DistributedNE {
       val phase2 = phase1.zipPartitions(msgs, preservesPartitioning = true) { (p1It, msgIt) =>
         val (cell, out1) = p1It.next()
         val st = out1.state.copy()
+        val round = roundBc.value
         val delta = out1.delta.clone()
         val bp = st.applySync(msgIt.map(_._2))
-        st.allocateTwoHop(bp, sizesBc.value, delta, quotaBc.value)
+        st.allocateTwoHop(bp, round.sizes, delta, round.quota)
         val reports = st.localDrest(bp)
         val samples = st.sampleUnallocated(SamplesPerCell, iterSeed)
         Iterator((cell, Phase2Out(st, delta, reports, samples)))
@@ -186,7 +192,7 @@ object DistributedNE {
       val drest = new mutable.HashMap[(Long, Int), Int]()
       collected.foreach { case (_, delta, reports, _) =>
         var q = 0
-        while (q < numP) {
+        while (q < p) {
           exps(q).size += delta(q)
           totalAllocated += delta(q)
           q += 1
@@ -209,9 +215,7 @@ object DistributedNE {
       phase1.unpersist(blocking = false)
       stateCached.unpersist(blocking = false)
       stateCached = phase2
-      selBc.unpersist(blocking = false)
-      sizesBc.unpersist(blocking = false)
-      quotaBc.unpersist(blocking = false)
+      roundBc.unpersist(blocking = false)
       iter += 1
     }
 

@@ -3,16 +3,16 @@ package repro
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 
-/** DuckDB correctness oracle.
+/** DuckDB correctness oracle: an independent SQL engine, in-process over
+  * JDBC, that recomputes from the raw rows what this repo computes
+  * (RF/EB/VB, replica counts, degrees, partition sizes). "It ran" is not
+  * "it is correct".
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
-  *
-  * Alias every output column identically on both sides (Spark names
-  * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
-  * to scalar columns — array/map/struct are not comparable here.
+  * ``query(sql, tables)`` loads ``tables`` and returns DuckDB's rows;
+  * ``assertEquivalent(expected, sql, tables)`` asserts that DuckDB's rows
+  * equal ``expected``'s, ignoring row order. Alias every output column
+  * identically on both sides, and project to scalar columns —
+  * array/map/struct are not comparable here.
   */
 object Oracle {
 
@@ -32,7 +32,26 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  def query(sql: String, tables: (String, DataFrame)*): Seq[Row] = run(sql, tables)._2
+
+  def assertEquivalent(expected: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val (dCols, dRows) = run(sql, tables)
+    val sCols = expected.columns.toSeq
+    require(
+      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: expected=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+    )
+    val got = canon(expected.collect().toSeq, sCols)
+    val exp = canon(dRows, dCols)
+    require(got == exp,
+      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
+      s"  first expected-only: ${got.diff(exp).take(3)}\n" +
+      s"  first duck-only:     ${exp.diff(got).take(3)}"
+    )
+  }
+
+  /** DuckDB's output column labels and rows for ``sql`` over ``tables``. */
+  private def run(sql: String, tables: Seq[(String, DataFrame)]): (Seq[String], Seq[Row]) = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -59,18 +78,7 @@ object Oracle {
         .takeWhile(_.next())
         .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
         .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-      )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+      (dCols, dRows)
     } finally conn.close()
   }
 }

@@ -1,32 +1,23 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
-  *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit).
-  */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
-  lazy val spark: SparkSession = SparkSpec.shared
+import repro.bench.JobSession
 
-  override def afterAll(): Unit = { super.afterAll() }
+/** Base for every test: one SparkSession, built by [[JobSession]], for the
+  * whole run. The driver heap is set via ``Test / javaOptions`` in
+  * build.sbt from SPARK_DRIVER_MEM.
+  */
+trait SparkSpec extends AnyFunSuite {
+  lazy val spark: SparkSession = SparkSpec.shared
 }
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    val s = JobSession.create("repro")
+    // One line in the test output naming the heap, master and parallelism
+    // the suites ran with.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
